@@ -20,12 +20,21 @@
 // cells. (The pre-rework simulator this bench originally baselined
 // against is gone; its last measured numbers live in ROADMAP.md.)
 // Byte-identity of every path is pinned by tests/test_sim_diff.cpp; this
-// bench only reports time.
+// bench reports time and what the SimCache did.
+//
+// Each pass is also expressed in calibration units: its us/cell divided
+// by the time of one fixed in-process calibration loop, so an absolute
+// bound set on one machine carries to a faster or slower one. Each
+// cached pass reports the SimCache hits and misses it caused; they are
+// exact functions of the repeat and cell counts, so a cache that stops
+// paying fails on its counts whatever the timings say.
 //
 // Usage: sim_hotpath [repeats] [--json FILE]
 //        (default 20; --json writes the machine-readable artifact CI
 //        archives as BENCH_sim.json and gates on)
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -118,21 +127,76 @@ PassTime time_pass(const std::vector<Cell>& cells, int repeats,
   return out;
 }
 
+// One run of a fixed workload in the simulator's own shape: a dependent
+// chain of "start = max(ready, clock) + duration" updates over an
+// L1-resident table, driven by xorshift. Returns the best of several
+// runs in microseconds, the unit the CI bounds are written in.
+double calibration_us() {
+  std::vector<double> ready(4096, 0.0);
+  double best = 0.0;
+  double sink = 0.0;
+  for (int run = 0; run < 9; ++run) {
+    const auto start = std::chrono::steady_clock::now();
+    uint64_t x = 88172645463325252ull;
+    double clock = 0.0;
+    for (int i = 0; i < 200000; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      double& slot = ready[x & 4095];
+      clock = std::max(clock, slot) + static_cast<double>(x >> 44) * 1e-9;
+      slot = clock;
+    }
+    sink += clock;
+    const double us = std::chrono::duration<double, std::micro>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+    if (run == 0 || us < best) best = us;
+  }
+  if (sink < 0.0) std::puts("");  // keep the loop observable
+  return best;
+}
+
+struct CacheDelta {
+  int64_t cost_hits = 0;
+  int64_t cost_misses = 0;
+  int64_t skeleton_hits = 0;
+  int64_t skeleton_misses = 0;
+};
+
+CacheDelta operator-(const runtime::SimCache::Stats& after,
+                     const runtime::SimCache::Stats& before) {
+  return {after.cost_hits - before.cost_hits,
+          after.cost_misses - before.cost_misses,
+          after.skeleton_hits - before.skeleton_hits,
+          after.skeleton_misses - before.skeleton_misses};
+}
+
 struct Row {
   std::string pass;
   PassTime time;
+  CacheDelta cache;  // zero for the cache-less pass
 };
 
 std::string to_json(const std::vector<Row>& rows, int repeats,
-                    double neighbor_speedup, double memoized_speedup) {
+                    double calibration, double neighbor_speedup,
+                    double memoized_speedup) {
   std::string out = str_format(
       "{\"bench\":\"sim_hotpath\",\"workload\":\"fig5-quick\","
-      "\"repeats\":%d,\"results\":[",
-      repeats);
+      "\"repeats\":%d,\"calibration_us\":%.2f,\"results\":[",
+      repeats, calibration);
   for (size_t i = 0; i < rows.size(); ++i) {
-    out += str_format("%s{\"pass\":\"%s\",\"us_per_cell\":%.2f,\"cells\":%d}",
-                      i == 0 ? "" : ",", rows[i].pass.c_str(),
-                      rows[i].time.us_per_cell, rows[i].time.cells);
+    const Row& row = rows[i];
+    out += str_format(
+        "%s{\"pass\":\"%s\",\"us_per_cell\":%.2f,\"calib_units\":%.4f,"
+        "\"cells\":%d,\"cache\":{\"cost_hits\":%lld,\"cost_misses\":%lld,"
+        "\"skeleton_hits\":%lld,\"skeleton_misses\":%lld}}",
+        i == 0 ? "" : ",", row.pass.c_str(), row.time.us_per_cell,
+        row.time.us_per_cell / calibration, row.time.cells,
+        static_cast<long long>(row.cache.cost_hits),
+        static_cast<long long>(row.cache.cost_misses),
+        static_cast<long long>(row.cache.skeleton_hits),
+        static_cast<long long>(row.cache.skeleton_misses));
   }
   out += str_format(
       "],\"cold_neighbor_speedup\":%.2f,\"memoized_speedup\":%.2f}\n",
@@ -185,19 +249,24 @@ int main(int argc, char** argv) {
       "== simulator hot path: fig5-quick zoo, %zu cells, %d repeats ==\n\n",
       cells.size(), repeats);
 
+  const double calibration = calibration_us();
+
   std::vector<Row> rows;
-  rows.push_back({"arena_cold", time_pass(cells, repeats, run_arena(nullptr))});
+  rows.push_back(
+      {"arena_cold", time_pass(cells, repeats, run_arena(nullptr)), {}});
 
   // One shared cache, warmed once by the base cells; the three cached
   // passes then hit it the way sweep neighbors do.
   auto cache = std::make_shared<runtime::SimCache>();
   (void)time_pass(cells, 1, run_arena(cache));  // warm-up (not reported)
-  rows.push_back({"memoized_repeat", time_pass(cells, repeats,
-                                               run_arena(cache))});
-  rows.push_back(
-      {"nmb_neighbor", time_pass(nmb_neighbors, repeats, run_arena(cache))});
-  rows.push_back(
-      {"smb_neighbor", time_pass(smb_neighbors, repeats, run_arena(cache))});
+  auto cached_pass = [&](const char* name, const std::vector<Cell>& list) {
+    const runtime::SimCache::Stats before = cache->stats();
+    const PassTime time = time_pass(list, repeats, run_arena(cache));
+    rows.push_back({name, time, cache->stats() - before});
+  };
+  cached_pass("memoized_repeat", cells);
+  cached_pass("nmb_neighbor", nmb_neighbors);
+  cached_pass("smb_neighbor", smb_neighbors);
 
   const double cold_us = rows[0].time.us_per_cell;
   const double memo_us = rows[1].time.us_per_cell;
@@ -211,15 +280,24 @@ int main(int argc, char** argv) {
       neighbor_us > 0.0 ? cold_nmb.us_per_cell / neighbor_us : 0.0;
   const double memoized_speedup = memo_us > 0.0 ? cold_us / memo_us : 0.0;
 
-  Table table({"Pass", "us/cell", "Cells", "vs cold"});
+  Table table({"Pass", "us/cell", "Calib units", "Cells", "vs cold",
+               "Cost hit/miss", "Skeleton hit/miss"});
   for (const Row& row : rows) {
     const double base =
         row.pass == "nmb_neighbor" ? cold_nmb.us_per_cell : cold_us;
     table.add_row({row.pass, str_format("%.1f", row.time.us_per_cell),
+                   str_format("%.3f", row.time.us_per_cell / calibration),
                    str_format("%d", row.time.cells),
                    str_format("%.1fx", row.time.us_per_cell > 0.0
                                            ? base / row.time.us_per_cell
-                                           : 0.0)});
+                                           : 0.0),
+                   str_format("%lld/%lld",
+                              static_cast<long long>(row.cache.cost_hits),
+                              static_cast<long long>(row.cache.cost_misses)),
+                   str_format("%lld/%lld",
+                              static_cast<long long>(row.cache.skeleton_hits),
+                              static_cast<long long>(
+                                  row.cache.skeleton_misses))});
   }
   std::fputs(table.to_string().c_str(), stdout);
   std::printf(
@@ -227,12 +305,15 @@ int main(int argc, char** argv) {
       "repeat on a shared SimCache; nmb/smb neighbor = never-seen cells\n"
       "reusing the memoized cost table / skeleton the way sweep siblings\n"
       "do, each vs a cache-less rebuild of the same cells. Equality of\n"
-      "every path's output is pinned by tests/test_sim_diff.cpp.\n");
+      "every path's output is pinned by tests/test_sim_diff.cpp.\n"
+      "Calibration loop: %.1f us (calib units = us/cell over it).\n",
+      calibration);
 
   if (!json_path.empty()) {
     if (!serialize::write_file_atomic(
             json_path,
-            to_json(rows, repeats, neighbor_speedup, memoized_speedup))) {
+            to_json(rows, repeats, calibration, neighbor_speedup,
+                    memoized_speedup))) {
       std::fprintf(stderr, "sim_hotpath: cannot write '%s'\n",
                    json_path.c_str());
       return 1;

@@ -1,111 +1,117 @@
 #include "api/report.h"
 
+#include <array>
+#include <initializer_list>
+
 #include "common/error.h"
 #include "common/json.h"
 #include "common/strings.h"
+#include "common/writer.h"
 
 namespace bfpp::api {
 
 namespace {
 
-// Compact, locale-independent double: up to 10 significant digits, no
-// trailing noise ("0.25", "36280000000000").
-std::string fmt_double(double x) { return str_format("%.10g", x); }
+// Display doubles: %.10g, compact and locale-independent ("0.25",
+// "36280000000000"). The wire form uses kWireDigits instead.
+constexpr int kDisplayDigits = 10;
 
-// Escaping lives in common/strings.h (json_escape/json_quote), shared
-// with the serve protocol emitter.
-std::string json_str(const std::string& s) { return json_quote(s); }
+// %.17g: enough digits that parsing the decimal back yields the exact
+// same double, which keeps reloaded Reports byte-identical under the
+// display emitters.
+constexpr int kWireDigits = 17;
 
-std::string config_json(const parallel::ParallelConfig& cfg,
-                        const std::string& indent) {
-  std::vector<std::string> fields = {
-      "\"schedule\": " + json_str(parallel::to_string(cfg.schedule)),
-      "\"sharding\": " + json_str(parallel::to_string(cfg.sharding)),
-      str_format("\"n_pp\": %d", cfg.n_pp),
-      str_format("\"n_tp\": %d", cfg.n_tp),
-      str_format("\"n_dp\": %d", cfg.n_dp),
-      str_format("\"s_mb\": %d", cfg.s_mb),
-      str_format("\"n_mb\": %d", cfg.n_mb),
-      str_format("\"n_loop\": %d", cfg.n_loop),
-      str_format("\"overlap_dp\": %s", cfg.overlap_dp ? "true" : "false"),
-      str_format("\"overlap_pp\": %s", cfg.overlap_pp ? "true" : "false"),
-      "\"describe\": " + json_str(cfg.describe())};
-  return "{\n" + indent + "  " + join(fields, ",\n" + indent + "  ") + "\n" +
-         indent + "}";
+// The pretty layout puts the members of the objects inside "frugal" at
+// the level of the "frugal" members themselves, as the CLI's JSON has
+// always printed them (pinned by tests/golden/report_renders.txt).
+// `depth` is that override, or Writer::kNested for ordinary nesting.
+void config_json(Writer& w, const parallel::ParallelConfig& cfg,
+                 int depth = Writer::kNested) {
+  w.begin_object(depth)
+      .key("schedule").string(parallel::to_string(cfg.schedule))
+      .key("sharding").string(parallel::to_string(cfg.sharding))
+      .key("n_pp").integer(cfg.n_pp)
+      .key("n_tp").integer(cfg.n_tp)
+      .key("n_dp").integer(cfg.n_dp)
+      .key("s_mb").integer(cfg.s_mb)
+      .key("n_mb").integer(cfg.n_mb)
+      .key("n_loop").integer(cfg.n_loop)
+      .key("overlap_dp").boolean(cfg.overlap_dp)
+      .key("overlap_pp").boolean(cfg.overlap_pp)
+      .key("describe").string(cfg.describe())
+      .end_object();
 }
 
-std::string result_json(const runtime::RunResult& r,
-                        const std::string& indent) {
-  std::vector<std::string> fields = {
-      "\"batch_time_s\": " + fmt_double(r.batch_time),
-      "\"throughput_per_gpu\": " + fmt_double(r.throughput_per_gpu),
-      "\"utilization\": " + fmt_double(r.utilization),
-      "\"compute_idle_fraction\": " + fmt_double(r.compute_idle_fraction)};
-  return "{\n" + indent + "  " + join(fields, ",\n" + indent + "  ") + "\n" +
-         indent + "}";
+void result_json(Writer& w, const runtime::RunResult& r,
+                 int depth = Writer::kNested) {
+  w.begin_object(depth)
+      .key("batch_time_s").real(r.batch_time, kDisplayDigits)
+      .key("throughput_per_gpu").real(r.throughput_per_gpu, kDisplayDigits)
+      .key("utilization").real(r.utilization, kDisplayDigits)
+      .key("compute_idle_fraction")
+      .real(r.compute_idle_fraction, kDisplayDigits)
+      .end_object();
 }
 
-std::string memory_json(const memmodel::MemoryEstimate& m,
-                        const std::string& indent) {
-  std::vector<std::string> fields = {
-      "\"total_bytes\": " + fmt_double(m.total()),
-      "\"state_bytes\": " + fmt_double(m.state_bytes),
-      "\"buffer_bytes\": " + fmt_double(m.buffer_bytes),
-      "\"activation_bytes\": " + fmt_double(m.activation_bytes),
-      "\"checkpoint_bytes\": " + fmt_double(m.checkpoint_bytes),
-      "\"p2p_buffer_bytes\": " + fmt_double(m.p2p_buffer_bytes)};
-  return "{\n" + indent + "  " + join(fields, ",\n" + indent + "  ") + "\n" +
-         indent + "}";
-}
-
-std::string csv_quote(const std::string& s) {
-  if (s.find_first_of(",\"\n\r") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
+void memory_json(Writer& w, const memmodel::MemoryEstimate& m,
+                 int depth = Writer::kNested) {
+  w.begin_object(depth)
+      .key("total_bytes").real(m.total(), kDisplayDigits)
+      .key("state_bytes").real(m.state_bytes, kDisplayDigits)
+      .key("buffer_bytes").real(m.buffer_bytes, kDisplayDigits)
+      .key("activation_bytes").real(m.activation_bytes, kDisplayDigits)
+      .key("checkpoint_bytes").real(m.checkpoint_bytes, kDisplayDigits)
+      .key("p2p_buffer_bytes").real(m.p2p_buffer_bytes, kDisplayDigits)
+      .end_object();
 }
 
 }  // namespace
 
-std::string Report::to_json() const {
-  std::vector<std::string> fields = {
-      "\"scenario\": " + json_str(scenario),
-      "\"model\": " + json_str(model),
-      "\"cluster\": " + json_str(cluster),
-      "\"method\": " + (method.empty() ? "null" : json_str(method)),
-      str_format("\"n_gpus\": %d", n_gpus),
-      str_format("\"batch_size\": %d", batch_size),
-      "\"beta\": " + fmt_double(beta()),
-      str_format("\"found\": %s", found ? "true" : "false")};
-  if (!found && !error.empty()) {
-    fields.push_back("\"error\": " + json_str(error));
+void Report::write_json(Writer& w) const {
+  w.begin_object()
+      .key("scenario").string(scenario)
+      .key("model").string(model)
+      .key("cluster").string(cluster)
+      .key("method");
+  if (method.empty()) {
+    w.null();
+  } else {
+    w.string(method);
   }
+  w.key("n_gpus").integer(n_gpus)
+      .key("batch_size").integer(batch_size)
+      .key("beta").real(beta(), kDisplayDigits)
+      .key("found").boolean(found);
+  if (!found && !error.empty()) w.key("error").string(error);
   if (found) {
-    fields.push_back("\"config\": " + config_json(config, "  "));
-    fields.push_back("\"result\": " + result_json(result, "  "));
-    fields.push_back("\"memory\": " + memory_json(memory, "  "));
-    fields.push_back("\"memory_min\": " + memory_json(memory_min, "  "));
+    config_json(w.key("config"), config);
+    result_json(w.key("result"), result);
+    memory_json(w.key("memory"), memory);
+    memory_json(w.key("memory_min"), memory_min);
   }
   if (!method.empty()) {
-    std::vector<std::string> search = {
-        str_format("\"evaluated\": %d", evaluated),
-        str_format("\"infeasible\": %d", infeasible)};
+    w.key("search").begin_object()
+        .key("evaluated").integer(evaluated)
+        .key("infeasible").integer(infeasible);
     if (frugal.has_value()) {
-      std::vector<std::string> fr = {
-          "\"config\": " + config_json(frugal->config, "    "),
-          "\"result\": " + result_json(frugal->result, "    "),
-          "\"memory_min\": " + memory_json(frugal->memory_min, "    ")};
-      search.push_back("\"frugal\": {\n      " + join(fr, ",\n      ") +
-                       "\n    }");
+      w.key("frugal").begin_object();
+      constexpr int kFrugalDepth = 3;
+      config_json(w.key("config"), frugal->config, kFrugalDepth);
+      result_json(w.key("result"), frugal->result, kFrugalDepth);
+      memory_json(w.key("memory_min"), frugal->memory_min, kFrugalDepth);
+      w.end_object();
     }
-    fields.push_back("\"search\": {\n    " + join(search, ",\n    ") +
-                     "\n  }");
+    w.end_object();
   }
-  return "{\n  " + join(fields, ",\n  ") + "\n}\n";
+  w.end_object();
+}
+
+std::string Report::to_json() const {
+  std::string out;
+  Writer w(out, 2);
+  write_json(w);
+  out += '\n';
+  return out;
 }
 
 std::string Report::csv_header() {
@@ -116,38 +122,38 @@ std::string Report::csv_header() {
          "evaluated,infeasible,error";
 }
 
-std::string Report::to_csv_row() const {
-  std::vector<std::string> cells = {
-      csv_quote(scenario),
-      csv_quote(model),
-      csv_quote(cluster),
-      csv_quote(method),
-      std::to_string(n_gpus),
-      std::to_string(batch_size),
-      fmt_double(beta()),
-      found ? "1" : "0"};
+void Report::write_csv_row(Writer& w) const {
+  w.csv(scenario).put(',').csv(model).put(',').csv(cluster).put(',');
+  w.csv(method).put(',').integer(n_gpus).put(',').integer(batch_size);
+  w.put(',').real(beta(), kDisplayDigits).put(',').put(found ? '1' : '0');
   if (found) {
-    cells.insert(cells.end(),
-                 {parallel::to_string(config.schedule),
-                  parallel::to_string(config.sharding),
-                  std::to_string(config.n_pp), std::to_string(config.n_tp),
-                  std::to_string(config.n_dp), std::to_string(config.s_mb),
-                  std::to_string(config.n_mb), std::to_string(config.n_loop),
-                  config.overlap_dp ? "1" : "0",
-                  config.overlap_pp ? "1" : "0", fmt_double(result.batch_time),
-                  fmt_double(result.throughput_per_gpu),
-                  fmt_double(result.utilization),
-                  fmt_double(result.compute_idle_fraction),
-                  fmt_double(memory.total()), fmt_double(memory_min.total())});
+    w.put(',').raw(parallel::to_string(config.schedule));
+    w.put(',').raw(parallel::to_string(config.sharding));
+    for (const int n : {config.n_pp, config.n_tp, config.n_dp, config.s_mb,
+                        config.n_mb, config.n_loop}) {
+      w.put(',').integer(n);
+    }
+    w.put(',').put(config.overlap_dp ? '1' : '0');
+    w.put(',').put(config.overlap_pp ? '1' : '0');
+    for (const double x : {result.batch_time, result.throughput_per_gpu,
+                           result.utilization, result.compute_idle_fraction,
+                           memory.total(), memory_min.total()}) {
+      w.put(',').real(x, kDisplayDigits);
+    }
   } else {
-    cells.insert(cells.end(), 16, "");
+    w.raw(",,,,,,,,,,,,,,,,");  // the 16 config/result columns, empty
   }
-  cells.push_back(std::to_string(evaluated));
-  cells.push_back(std::to_string(infeasible));
+  w.put(',').integer(evaluated).put(',').integer(infeasible);
   // Explicit (usually empty) error column, quoted like every other text
   // field, so failed sweep cells never change the CSV schema.
-  cells.push_back(csv_quote(error));
-  return join(cells, ",");
+  w.put(',').csv(error);
+}
+
+std::string Report::to_csv_row() const {
+  std::string out;
+  Writer w(out);
+  write_csv_row(w);
+  return out;
 }
 
 std::string Report::to_csv() const {
@@ -158,49 +164,40 @@ std::string Report::to_csv() const {
 
 namespace {
 
-// %.17g: enough digits that parsing the decimal back yields the exact
-// same double, which keeps reloaded Reports byte-identical under the
-// %.10g display emitters.
-std::string wire_double(double x) { return str_format("%.17g", x); }
-
-std::string wire_result(const runtime::RunResult& r) {
-  return "[" + wire_double(r.batch_time) + "," +
-         wire_double(r.throughput_per_gpu) + "," +
-         wire_double(r.utilization) + "," +
-         wire_double(r.compute_idle_fraction) + "]";
+void wire_array(Writer& w, std::initializer_list<double> xs) {
+  w.begin_array();
+  for (const double x : xs) w.real(x, kWireDigits);
+  w.end_array();
 }
 
-std::string wire_memory(const memmodel::MemoryEstimate& m) {
-  return "[" + wire_double(m.state_bytes) + "," +
-         wire_double(m.buffer_bytes) + "," +
-         wire_double(m.activation_bytes) + "," +
-         wire_double(m.checkpoint_bytes) + "," +
-         wire_double(m.p2p_buffer_bytes) + "]";
+void wire_result(Writer& w, const runtime::RunResult& r) {
+  wire_array(w, {r.batch_time, r.throughput_per_gpu, r.utilization,
+                   r.compute_idle_fraction});
+}
+
+void wire_memory(Writer& w, const memmodel::MemoryEstimate& m) {
+  wire_array(w, {m.state_bytes, m.buffer_bytes, m.activation_bytes,
+                   m.checkpoint_bytes, m.p2p_buffer_bytes});
 }
 
 const json::Value& wire_field(const json::Value& v, const char* key) {
   const json::Value* field = v.get(key);
-  check_config(field != nullptr,
-               str_format("report: wire form is missing \"%s\"", key));
+  check_config(field != nullptr, "report: wire form is missing \"%s\"", key);
   return *field;
 }
 
-std::vector<double> wire_doubles(const json::Value& v, const char* key,
-                                 size_t n) {
+template <size_t N>
+std::array<double, N> wire_doubles(const json::Value& v, const char* key) {
   const json::Value& field = wire_field(v, key);
-  check_config(field.is_array() && field.size() == n,
-               str_format("report: \"%s\" must be an array of %zu numbers",
-                          key, n));
-  std::vector<double> out;
-  out.reserve(n);
-  for (const json::Value& item : field.items()) {
-    out.push_back(item.as_number(key));
-  }
+  check_config(field.is_array() && field.size() == N,
+               "report: \"%s\" must be an array of %zu numbers", key, N);
+  std::array<double, N> out{};
+  for (size_t i = 0; i < N; ++i) out[i] = field.items()[i].as_number(key);
   return out;
 }
 
 runtime::RunResult result_from_wire(const json::Value& v, const char* key) {
-  const std::vector<double> d = wire_doubles(v, key, 4);
+  const auto d = wire_doubles<4>(v, key);
   runtime::RunResult r;
   r.batch_time = d[0];
   r.throughput_per_gpu = d[1];
@@ -211,7 +208,7 @@ runtime::RunResult result_from_wire(const json::Value& v, const char* key) {
 
 memmodel::MemoryEstimate memory_from_wire(const json::Value& v,
                                           const char* key) {
-  const std::vector<double> d = wire_doubles(v, key, 5);
+  const auto d = wire_doubles<5>(v, key);
   memmodel::MemoryEstimate m;
   m.state_bytes = d[0];
   m.buffer_bytes = d[1];
@@ -224,29 +221,31 @@ memmodel::MemoryEstimate memory_from_wire(const json::Value& v,
 }  // namespace
 
 std::string Report::to_wire() const {
-  std::vector<std::string> fields = {
-      "\"scenario\":" + json_quote(scenario),
-      "\"model\":" + json_quote(model),
-      "\"cluster\":" + json_quote(cluster),
-      "\"method\":" + json_quote(method),
-      str_format("\"n_gpus\":%d", n_gpus),
-      str_format("\"batch_size\":%d", batch_size),
-      std::string("\"found\":") + (found ? "true" : "false"),
-      "\"error\":" + json_quote(error),
-      "\"config\":" + json_quote(config.describe()),
-      "\"result\":" + wire_result(result),
-      "\"memory\":" + wire_memory(memory),
-      "\"memory_min\":" + wire_memory(memory_min),
-      str_format("\"evaluated\":%d", evaluated),
-      str_format("\"infeasible\":%d", infeasible)};
+  std::string out;
+  Writer w(out);
+  w.begin_object()
+      .key("scenario").string(scenario)
+      .key("model").string(model)
+      .key("cluster").string(cluster)
+      .key("method").string(method)
+      .key("n_gpus").integer(n_gpus)
+      .key("batch_size").integer(batch_size)
+      .key("found").boolean(found)
+      .key("error").string(error)
+      .key("config").string(config.describe());
+  wire_result(w.key("result"), result);
+  wire_memory(w.key("memory"), memory);
+  wire_memory(w.key("memory_min"), memory_min);
+  w.key("evaluated").integer(evaluated).key("infeasible").integer(infeasible);
   if (frugal.has_value()) {
-    fields.push_back("\"frugal\":{\"config\":" +
-                     json_quote(frugal->config.describe()) +
-                     ",\"result\":" + wire_result(frugal->result) +
-                     ",\"memory_min\":" + wire_memory(frugal->memory_min) +
-                     "}");
+    w.key("frugal").begin_object()
+        .key("config").string(frugal->config.describe());
+    wire_result(w.key("result"), frugal->result);
+    wire_memory(w.key("memory_min"), frugal->memory_min);
+    w.end_object();
   }
-  return "{" + join(fields, ",") + "}";
+  w.end_object();
+  return out;
 }
 
 Report Report::from_wire(const json::Value& value) {
@@ -308,11 +307,11 @@ std::string to_csv(const std::vector<Report>& reports) {
 
 std::string to_json(const std::vector<Report>& reports) {
   if (reports.empty()) return "[]\n";
+  // Array elements sit at column 0, one pretty object after another.
   std::string out = "[\n";
+  Writer w(out, 2);
   for (size_t i = 0; i < reports.size(); ++i) {
-    std::string one = reports[i].to_json();
-    if (!one.empty() && one.back() == '\n') one.pop_back();
-    out += one;
+    reports[i].write_json(w);
     out += i + 1 < reports.size() ? ",\n" : "\n";
   }
   out += "]\n";

@@ -14,6 +14,10 @@
 #include "parallel/config.h"
 #include "runtime/pipeline_sim.h"
 
+namespace bfpp {
+class Writer;
+}
+
 namespace bfpp::json {
 class Value;
 }
@@ -62,13 +66,17 @@ struct Report {
     return n_gpus > 0 ? static_cast<double>(batch_size) / n_gpus : 0.0;
   }
 
-  // Single JSON object (pretty-printed, two-space indent, stable key
-  // order, C-locale numbers).
+  // Single JSON object (pretty-printed, two-space indent, trailing
+  // newline, stable key order, locale-independent numbers).
   [[nodiscard]] std::string to_json() const;
+  // The same object appended to `w` in w's layout: compact on a
+  // zero-indent Writer (the serve line form).
+  void write_json(Writer& w) const;
 
   // CSV: fixed column set, stable across runs and locales.
   static std::string csv_header();
   [[nodiscard]] std::string to_csv_row() const;
+  void write_csv_row(Writer& w) const;
   [[nodiscard]] std::string to_csv() const;  // header + this row
 
   // Lossless single-line wire form for ReportCache persistence

@@ -20,6 +20,7 @@
 #include "common/socket.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
+#include "common/writer.h"
 
 namespace bfpp::api {
 
@@ -172,11 +173,13 @@ bool ReportCache::save(const std::string& path) const {
     // with the same recency order this cache has now.
     entries.assign(lru_.rbegin(), lru_.rend());
   }
-  std::string out = str_format("{\"bfpp_report_cache\":%d,\"entries\":%zu}\n",
-                               kCacheFileVersion, entries.size());
+  std::string out;
+  Writer w(out);
+  w.begin_object().key("bfpp_report_cache").integer(kCacheFileVersion);
+  w.key("entries").uinteger(entries.size()).end_object().put('\n');
   for (const auto& [key, report] : entries) {
-    out += "{\"key\":" + json_quote(key) + ",\"report\":" + report.to_wire() +
-           "}\n";
+    w.begin_object().key("key").string(key).key("report");
+    w.raw(report.to_wire()).end_object().put('\n');
   }
   if (!serialize::write_file_atomic(path, out)) {
     std::fprintf(stderr, "bfpp serve: cannot persist cache to '%s': %s\n",
@@ -242,22 +245,24 @@ std::string cache_key(const Scenario& scenario,
   // faithful (injective) encoding of the whole configuration, overlap
   // flags included. Structural model/cluster fields guard against two
   // specs sharing a display name; total_gpus covers ':<n_nodes>' resizes.
-  const std::string cfg =
-      scenario.config.has_value() ? scenario.config->describe() : "-";
-  const std::string kernel =
-      options.kernel.has_value()
-          ? str_format("%.17g/%.17g/%.17g", options.kernel->max_efficiency,
-                       options.kernel->narrow_half, options.kernel->rows_half)
-          : "default";
-  return str_format(
-      "model=%s#l%dh%ds%dv%d|cluster=%s#%dgpus|cfg=%s|batch=%d|method=%s|"
-      "backend=%s|kernel=%s",
-      scenario.model.name.c_str(), scenario.model.n_layers,
-      scenario.model.hidden_size, scenario.model.seq_len,
-      scenario.model.vocab_size, scenario.cluster.name.c_str(),
-      scenario.cluster.total_gpus(), cfg.c_str(), scenario.batch_size,
-      method.has_value() ? autotune::to_string(*method) : "-",
-      to_string(options.backend), kernel.c_str());
+  // Kernel overrides print with %.17g, so distinct doubles never share
+  // a key.
+  const model::TransformerSpec& m = scenario.model;
+  std::string key;
+  Writer w(key);
+  w.raw("model=").raw(m.name).raw("#l").integer(m.n_layers).put('h');
+  w.integer(m.hidden_size).put('s').integer(m.seq_len).put('v');
+  w.integer(m.vocab_size).raw("|cluster=").raw(scenario.cluster.name);
+  w.put('#').integer(scenario.cluster.total_gpus()).raw("gpus|cfg=");
+  w.raw(scenario.config.has_value() ? scenario.config->describe() : "-");
+  w.raw("|batch=").integer(scenario.batch_size).raw("|method=");
+  w.raw(method.has_value() ? autotune::to_string(*method) : "-");
+  w.raw("|backend=").raw(to_string(options.backend)).raw("|kernel=");
+  if (!options.kernel.has_value()) return std::move(key) + "default";
+  w.real(options.kernel->max_efficiency, 17).put('/');
+  w.real(options.kernel->narrow_half, 17).put('/');
+  w.real(options.kernel->rows_half, 17);
+  return key;
 }
 
 // ---- ServeStats wire format ----
@@ -269,62 +274,49 @@ namespace {
 const json::Value& serve_wire_field(const json::Value& v, const char* key) {
   const json::Value* field = v.get(key);
   check_config(field != nullptr,
-               str_format("serve stats wire: missing \"%s\"", key));
+               "serve stats wire: missing \"%s\"", key);
   return *field;
 }
 
 uint64_t serve_wire_u64(const json::Value& v, const char* key) {
   const double x = serve_wire_field(v, key).as_number(key);
   check_config(x >= 0 && x == std::floor(x),
-               str_format("serve stats wire: \"%s\" must be a non-negative "
-                          "integer",
-                          key));
+               "serve stats wire: \"%s\" must be a non-negative "
+               "integer",
+               key);
   return static_cast<uint64_t>(x);
-}
-
-std::string u64_list(const std::vector<uint64_t>& xs) {
-  std::vector<std::string> out;
-  out.reserve(xs.size());
-  for (const uint64_t x : xs) {
-    out.push_back(str_format("%llu", static_cast<unsigned long long>(x)));
-  }
-  return "[" + join(out, ",") + "]";
 }
 
 }  // namespace
 
 std::string ServeStats::to_wire() const {
-  std::string out = str_format(
-      "{\"schema\":%d,\"requests\":%llu,", schema,
-      static_cast<unsigned long long>(requests));
-  out += str_format(
-      "\"cache\":{\"entries\":%zu,\"capacity\":%zu,\"hits\":%llu,"
-      "\"misses\":%llu,\"insertions\":%llu,\"evictions\":%llu,"
-      "\"coalesced\":%llu,\"inflight\":%zu},",
-      cache.entries, cache.capacity,
-      static_cast<unsigned long long>(cache.hits),
-      static_cast<unsigned long long>(cache.misses),
-      static_cast<unsigned long long>(cache.insertions),
-      static_cast<unsigned long long>(cache.evictions),
-      static_cast<unsigned long long>(cache.coalesced), cache.inflight);
-  out += str_format(
-      "\"connections\":{\"active\":%d,\"reading\":%d,\"processing\":%d,"
-      "\"writing\":%d,\"accepted\":%llu,\"rejected\":%llu},",
-      connections.active, connections.reading, connections.processing,
-      connections.writing, static_cast<unsigned long long>(connections.accepted),
-      static_cast<unsigned long long>(connections.rejected));
-  out += str_format(
-      "\"queues\":{\"dispatch_backlog\":%llu,\"executing\":%llu},",
-      static_cast<unsigned long long>(queues.dispatch_backlog),
-      static_cast<unsigned long long>(queues.executing));
-  out += str_format(
-      "\"latency\":{\"count\":%llu,\"sum_us\":%llu,\"p50_us\":%llu,"
-      "\"p99_us\":%llu,\"buckets\":",
-      static_cast<unsigned long long>(latency.count),
-      static_cast<unsigned long long>(latency.sum_us),
-      static_cast<unsigned long long>(latency.p50_us),
-      static_cast<unsigned long long>(latency.p99_us));
-  out += u64_list(latency.buckets) + "}}";
+  std::string out;
+  Writer w(out);
+  w.begin_object().key("schema").integer(schema);
+  w.key("requests").uinteger(requests);
+  w.key("cache").begin_object().key("entries").uinteger(cache.entries);
+  w.key("capacity").uinteger(cache.capacity).key("hits").uinteger(cache.hits);
+  w.key("misses").uinteger(cache.misses);
+  w.key("insertions").uinteger(cache.insertions);
+  w.key("evictions").uinteger(cache.evictions);
+  w.key("coalesced").uinteger(cache.coalesced);
+  w.key("inflight").uinteger(cache.inflight).end_object();
+  w.key("connections").begin_object();
+  w.key("active").integer(connections.active);
+  w.key("reading").integer(connections.reading);
+  w.key("processing").integer(connections.processing);
+  w.key("writing").integer(connections.writing);
+  w.key("accepted").uinteger(connections.accepted);
+  w.key("rejected").uinteger(connections.rejected).end_object();
+  w.key("queues").begin_object();
+  w.key("dispatch_backlog").uinteger(queues.dispatch_backlog);
+  w.key("executing").uinteger(queues.executing).end_object();
+  w.key("latency").begin_object().key("count").uinteger(latency.count);
+  w.key("sum_us").uinteger(latency.sum_us);
+  w.key("p50_us").uinteger(latency.p50_us);
+  w.key("p99_us").uinteger(latency.p99_us).key("buckets").begin_array();
+  for (const uint64_t b : latency.buckets) w.uinteger(b);
+  w.end_array().end_object().end_object();
   return out;
 }
 
@@ -374,53 +366,28 @@ ServeStats ServeStats::from_wire(const json::Value& value) {
 
 namespace {
 
-// Strips all whitespace outside string literals: turns the pretty-printed
-// Report::to_json() into one protocol line. Safe because the emitter
-// escapes every control character, so no raw newline can appear inside a
-// JSON string.
-std::string json_compact(const std::string& s) {
+// One response line: '{' + ["id":<echo>,] + what `fields` writes + '}\n'.
+template <typename Fields>
+std::string response_line(const std::string& id_echo, Fields&& fields) {
   std::string out;
-  out.reserve(s.size());
-  bool in_string = false;
-  bool escaped = false;
-  for (char c : s) {
-    if (in_string) {
-      out += c;
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == ' ' || c == '\n' || c == '\t' || c == '\r') continue;
-    out += c;
-    if (c == '"') in_string = true;
-  }
-  return out;
-}
-
-std::string json_names(const std::vector<std::string>& names) {
-  std::vector<std::string> quoted;
-  quoted.reserve(names.size());
-  for (const std::string& name : names) quoted.push_back(json_quote(name));
-  return "[" + join(quoted, ",") + "]";
-}
-
-// One response line: '{' + ["id":<echo>,] + fields + '}\n'.
-std::string response_line(const std::string& id_echo,
-                          const std::string& fields) {
-  std::string out = "{";
-  if (!id_echo.empty()) out += "\"id\":" + id_echo + ",";
-  out += fields;
-  out += "}\n";
+  Writer w(out);
+  w.begin_object();
+  if (!id_echo.empty()) w.key("id").raw(id_echo);
+  fields(w);
+  w.end_object().put('\n');
   return out;
 }
 
 std::string error_line(const std::string& id_echo, const std::string& what) {
-  return response_line(id_echo, "\"ok\":false,\"error\":" + json_quote(what));
+  return response_line(id_echo, [&](Writer& w) {
+    w.key("ok").boolean(false).key("error").string(what);
+  });
+}
+
+void write_names(Writer& w, const std::vector<std::string>& names) {
+  w.begin_array();
+  for (const std::string& name : names) w.string(name);
+  w.end_array();
 }
 
 std::vector<std::string> names_from(const json::Value& v, const char* key) {
@@ -430,7 +397,7 @@ std::vector<std::string> names_from(const json::Value& v, const char* key) {
       out.push_back(item.as_string(key));
     }
     check_config(!out.empty(),
-                 str_format("serve: \"%s\" must not be an empty list", key));
+                 "serve: \"%s\" must not be an empty list", key);
     return out;
   }
   return {v.as_string(key)};
@@ -441,7 +408,7 @@ std::vector<int> ints_from(const json::Value& v, const char* key) {
     std::vector<int> out;
     for (const json::Value& item : v.items()) out.push_back(item.as_int(key));
     check_config(!out.empty(),
-                 str_format("serve: \"%s\" must not be an empty list", key));
+                 "serve: \"%s\" must not be an empty list", key);
     return out;
   }
   return {v.as_int(key)};
@@ -488,7 +455,12 @@ std::string id_echo_from(const json::Value& root) {
   check_config(root.is_object(), "serve: a request must be a JSON object");
   const json::Value* id = root.get("id");
   if (id == nullptr) return {};
-  if (id->is_string()) return json_quote(id->as_string());
+  std::string echo;
+  Writer w(echo);
+  if (id->is_string()) {
+    w.string(id->as_string());
+    return echo;
+  }
   if (id->is_number()) {
     // Integral ids (the common case: counters, epoch timestamps) echo
     // back digit-for-digit; only genuinely fractional ids round-trip
@@ -498,9 +470,11 @@ std::string id_echo_from(const json::Value& root) {
     const double x = id->as_number();
     check_config(std::isfinite(x), "serve: \"id\" must be a finite number");
     if (x == std::floor(x) && std::abs(x) <= 9007199254740992.0) {
-      return str_format("%lld", static_cast<long long>(x));
+      w.integer(static_cast<int64_t>(x));
+    } else {
+      w.real(x, 17);
     }
-    return str_format("%.17g", x);
+    return echo;
   }
   throw ConfigError("serve: \"id\" must be a string or a number");
 }
@@ -521,10 +495,10 @@ Request parse_request(const json::Value& root, const ServeOptions& defaults) {
   check_config(scenario_request || req.type == "stats" ||
                    req.type == "metrics" || req.type == "list" ||
                    req.type == "ping" || req.type == "shutdown",
-               str_format("serve: unknown request type '%s' (run, search, "
-                          "sweep, compare, stats, metrics, list, ping or "
-                          "shutdown)",
-                          req.type.c_str()));
+               "serve: unknown request type '%s' (run, search, "
+               "sweep, compare, stats, metrics, list, ping or "
+               "shutdown)",
+               req.type.c_str());
   const bool sweeping = req.type == "sweep";
   req.cli.command = req.type;
 
@@ -535,9 +509,9 @@ Request parse_request(const json::Value& root, const ServeOptions& defaults) {
       continue;
     }
     check_config(scenario_request,
-                 str_format("serve: field \"%s\" is not valid for a '%s' "
-                            "request",
-                            key.c_str(), req.type.c_str()));
+                 "serve: field \"%s\" is not valid for a '%s' "
+                 "request",
+                 key.c_str(), req.type.c_str());
     if (key == "format") {
       req.format = to_lower(v.as_string("format"));
       check_config(req.format == "json" || req.format == "csv",
@@ -658,30 +632,35 @@ Request parse_request(const json::Value& root, const ServeOptions& defaults) {
   return req;
 }
 
-// Payload rendering shared by run/search/sweep responses.
+// Payload rendering shared by run/search/sweep responses: a JSON run or
+// search embeds its Report in the header line; otherwise the header
+// announces the payload lines that follow, one per row (after the CSV
+// header line).
 std::string rows_response(const std::string& id_echo, const char* type,
                           const std::vector<Report>& reports,
                           const std::string& format, bool single) {
-  if (format == "csv") {
-    std::string head = str_format(
-        "\"ok\":true,\"type\":\"%s\",\"format\":\"csv\",\"rows\":%zu,"
-        "\"lines\":%zu",
-        type, reports.size(), reports.size() + 1);
-    std::string out = response_line(id_echo, head);
-    out += Report::csv_header() + "\n";
-    for (const Report& r : reports) out += r.to_csv_row() + "\n";
-    return out;
+  const bool csv = format == "csv";
+  std::string out = response_line(id_echo, [&](Writer& w) {
+    w.key("ok").boolean(true).key("type").string(type);
+    if (csv) w.key("format").string("csv");
+    if (single && !csv) {
+      reports[0].write_json(w.key("report"));
+      return;
+    }
+    w.key("rows").uinteger(reports.size());
+    w.key("lines").uinteger(reports.size() + (csv ? 1 : 0));
+  });
+  if (single && !csv) return out;
+  Writer w(out);
+  if (csv) w.raw(Report::csv_header()).put('\n');
+  for (const Report& r : reports) {
+    if (csv) {
+      r.write_csv_row(w);
+    } else {
+      r.write_json(w);
+    }
+    w.put('\n');
   }
-  if (single) {
-    return response_line(id_echo,
-                         str_format("\"ok\":true,\"type\":\"%s\",", type) +
-                             "\"report\":" + json_compact(reports[0].to_json()));
-  }
-  std::string head = str_format(
-      "\"ok\":true,\"type\":\"%s\",\"rows\":%zu,\"lines\":%zu", type,
-      reports.size(), reports.size());
-  std::string out = response_line(id_echo, head);
-  for (const Report& r : reports) out += json_compact(r.to_json()) + "\n";
   return out;
 }
 
@@ -948,43 +927,48 @@ std::string Server::handle_or_throw(std::string& id_echo,
   req.id_echo = id_echo;
 
   if (req.type == "ping") {
-    return response_line(id_echo, "\"ok\":true,\"type\":\"pong\"");
+    return response_line(id_echo, [](Writer& w) {
+      w.key("ok").boolean(true).key("type").string("pong");
+    });
   }
   if (req.type == "shutdown") {
     // Wakes the accept loop (self-pipe) and capacity waiters; the
     // requesting session still gets this acknowledgement before its
     // stream is drained.
     request_shutdown();
-    return response_line(id_echo, "\"ok\":true,\"type\":\"shutdown\"");
+    return response_line(id_echo, [](Writer& w) {
+      w.key("ok").boolean(true).key("type").string("shutdown");
+    });
   }
   if (req.type == "stats" || req.type == "metrics") {
     // Both responses splice the one versioned ServeStats emitter (outer
     // braces stripped) after the preamble, so the two surfaces share a
     // single schema and cannot drift apart field by field.
     const std::string wire = snapshot_stats().to_wire();
-    return response_line(
-        id_echo,
-        str_format("\"ok\":true,\"type\":\"%s\",", req.type.c_str()) +
-            wire.substr(1, wire.size() - 2));
+    return response_line(id_echo, [&](Writer& w) {
+      w.key("ok").boolean(true).key("type").string(req.type);
+      w.put(',').raw(std::string_view(wire).substr(1, wire.size() - 2));
+    });
   }
   if (req.type == "list") {
     const std::string what = to_lower(req.list_what);
     check_config(what == "models" || what == "clusters" ||
                      what == "scenarios" || what == "all",
-                 str_format("serve: unknown list target '%s' (models, "
-                            "clusters, scenarios or all)",
-                            req.list_what.c_str()));
-    std::vector<std::string> fields = {"\"ok\":true", "\"type\":\"list\""};
-    if (what == "models" || what == "all") {
-      fields.push_back("\"models\":" + json_names(model_names()));
-    }
-    if (what == "clusters" || what == "all") {
-      fields.push_back("\"clusters\":" + json_names(cluster_names()));
-    }
-    if (what == "scenarios" || what == "all") {
-      fields.push_back("\"scenarios\":" + json_names(scenario_names()));
-    }
-    return response_line(id_echo, join(fields, ","));
+                 "serve: unknown list target '%s' (models, "
+                 "clusters, scenarios or all)",
+                 req.list_what.c_str());
+    return response_line(id_echo, [&](Writer& w) {
+      w.key("ok").boolean(true).key("type").string("list");
+      if (what == "models" || what == "all") {
+        write_names(w.key("models"), model_names());
+      }
+      if (what == "clusters" || what == "all") {
+        write_names(w.key("clusters"), cluster_names());
+      }
+      if (what == "scenarios" || what == "all") {
+        write_names(w.key("scenarios"), scenario_names());
+      }
+    });
   }
 
   if (req.type == "sweep" || req.type == "compare") {

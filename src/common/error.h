@@ -9,6 +9,15 @@
 #include <stdexcept>
 #include <string>
 
+// Marks a varargs function as printf-like so the compiler type-checks
+// format string against arguments at every call site (-Wformat).
+#if defined(__GNUC__) || defined(__clang__)
+#define BFPP_PRINTF_LIKE(fmt_index, first_arg) \
+  __attribute__((format(printf, fmt_index, first_arg)))
+#else
+#define BFPP_PRINTF_LIKE(fmt_index, first_arg)
+#endif
+
 namespace bfpp {
 
 // Base exception for all library errors.
@@ -42,14 +51,17 @@ class OutOfMemoryError : public Error {
   explicit OutOfMemoryError(const std::string& what) : Error(what) {}
 };
 
-// Throws Error with `message` when `condition` is false.
-inline void check(bool condition, const std::string& message) {
-  if (!condition) throw Error(message);
-}
+// Throws Error with the printf-formatted message when `condition` is
+// false. The message is formatted only on failure, so a passing check
+// costs a compare and a call: hot loops (schedule::validate, the JSON
+// parser) check per op or per byte. Arguments are still evaluated on
+// every call, so pass cheap ones (c_str(), ints), never a built string;
+// bfpp-lint's lazy-check pass enforces that. Input text always goes in
+// as a "%s" argument, never as the format.
+void check(bool condition, const char* fmt, ...) BFPP_PRINTF_LIKE(2, 3);
 
-// Throws ConfigError with `message` when `condition` is false.
-inline void check_config(bool condition, const std::string& message) {
-  if (!condition) throw ConfigError(message);
-}
+// Same, throwing ConfigError.
+void check_config(bool condition, const char* fmt, ...)
+    BFPP_PRINTF_LIKE(2, 3);
 
 }  // namespace bfpp

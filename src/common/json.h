@@ -3,8 +3,8 @@
 //
 // Scope is deliberately small: parse one complete JSON document into an
 // immutable tree of Values and read it back with typed accessors. The
-// emitting direction stays where it always was (Report::to_json and the
-// str_format helpers); this module only *reads* client requests.
+// emitting direction lives in common/writer.h; this module only *reads*
+// client requests and cache snapshots.
 //
 //   const json::Value v = json::parse(R"({"type":"run","pp":8})");
 //   v.get("type")->as_string();   // "run"
@@ -12,13 +12,16 @@
 //   v.get("missing");             // nullptr
 //
 // Numbers are stored as double (ints round-trip exactly up to 2^53,
-// far beyond any grid axis). Object keys keep insertion order and may
+// far beyond any grid axis); a literal beyond the double range reads as
+// +-infinity and one below it as +-0, as strtod gives them. Object keys
+// keep insertion order and may
 // repeat (last one wins on get()). Parse errors throw bfpp::ConfigError
 // with the byte offset; nesting is capped so hostile input cannot
 // overflow the stack.
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -39,11 +42,10 @@ class Value {
   // Typed reads. Each throws bfpp::ConfigError naming `what` when the
   // value is not of the requested type (as_int additionally requires an
   // exact integer).
-  [[nodiscard]] bool as_bool(const std::string& what = "value") const;
-  [[nodiscard]] double as_number(const std::string& what = "value") const;
-  [[nodiscard]] int as_int(const std::string& what = "value") const;
-  [[nodiscard]] const std::string& as_string(
-      const std::string& what = "value") const;
+  [[nodiscard]] bool as_bool(const char* what = "value") const;
+  [[nodiscard]] double as_number(const char* what = "value") const;
+  [[nodiscard]] int as_int(const char* what = "value") const;
+  [[nodiscard]] const std::string& as_string(const char* what = "value") const;
 
   // Array access.
   [[nodiscard]] size_t size() const { return array_.size(); }
@@ -51,7 +53,7 @@ class Value {
 
   // Object access: the value under `key`, or nullptr when absent (or
   // when this is not an object). Duplicate keys resolve to the last.
-  [[nodiscard]] const Value* get(const std::string& key) const;
+  [[nodiscard]] const Value* get(std::string_view key) const;
   [[nodiscard]] const std::vector<std::pair<std::string, Value>>& members()
       const {
     return object_;

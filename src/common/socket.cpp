@@ -171,8 +171,10 @@ bool read_stdio_line(std::FILE* in, std::string& line) {
 
 Listener::Listener(int port, int backlog) {
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  check_config(fd_ >= 0, str_format("socket: cannot create socket: %s",
-                                    errno_string(errno).c_str()));
+  if (fd_ < 0) {
+    throw ConfigError(str_format("socket: cannot create socket: %s",
+                                 errno_string(errno).c_str()));
+  }
   const int one = 1;
   ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
 
@@ -277,9 +279,12 @@ void Listener::wake() {
 }
 
 WakePipe::WakePipe() {
-  check_config(::pipe(fds_) == 0,
-               str_format("socket: cannot create wake pipe: %s",
-                          errno_string(errno).c_str()));
+  // errno is read only after pipe() failed: as a check argument its
+  // evaluation order against the call would be unspecified.
+  if (::pipe(fds_) != 0) {
+    throw ConfigError(str_format("socket: cannot create wake pipe: %s",
+                                 errno_string(errno).c_str()));
+  }
   for (const int fd : fds_) {
     ::fcntl(fd, F_SETFD, FD_CLOEXEC);
     // Non-blocking on both ends: signal() must never stall a worker on

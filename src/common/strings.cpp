@@ -11,53 +11,63 @@
 #endif
 
 namespace bfpp {
-namespace detail {
+
+namespace {
 
 #if defined(__unix__) || defined(__APPLE__)
 
-namespace {
 locale_t c_locale_handle() {
   static locale_t loc = newlocale(LC_ALL_MASK, "C", static_cast<locale_t>(0));
   return loc;
 }
-}  // namespace
 
-ScopedCLocale::ScopedCLocale() {
-  locale_t loc = c_locale_handle();
-  if (loc != static_cast<locale_t>(0)) {
-    previous_ = reinterpret_cast<void*>(uselocale(loc));
+// RAII guard that switches the calling thread to the "C" locale, so that
+// printf-style float formatting always uses '.' as the decimal separator
+// regardless of the process locale.
+class ScopedCLocale {
+ public:
+  ScopedCLocale() {
+    locale_t loc = c_locale_handle();
+    if (loc != static_cast<locale_t>(0)) previous_ = uselocale(loc);
   }
-}
+  ~ScopedCLocale() {
+    if (previous_ != static_cast<locale_t>(0)) uselocale(previous_);
+  }
+  ScopedCLocale(const ScopedCLocale&) = delete;
+  ScopedCLocale& operator=(const ScopedCLocale&) = delete;
 
-ScopedCLocale::~ScopedCLocale() {
-  if (previous_ != nullptr) {
-    uselocale(reinterpret_cast<locale_t>(previous_));
-  }
-}
+ private:
+  locale_t previous_ = static_cast<locale_t>(0);
+};
 
 #else  // no per-thread locales: snprintf already uses the global locale
 
-ScopedCLocale::ScopedCLocale() = default;
-ScopedCLocale::~ScopedCLocale() = default;
+struct ScopedCLocale {};
 
 #endif
+
+}  // namespace
+
+namespace detail {
+
+std::string vstr_format(const char* fmt, std::va_list args) {
+  const ScopedCLocale c_locale;
+  std::va_list sizing;
+  va_copy(sizing, args);
+  const int n = std::vsnprintf(nullptr, 0, fmt, sizing);
+  va_end(sizing);
+  if (n <= 0) return {};
+  std::string out(static_cast<size_t>(n), '\0');
+  std::vsnprintf(out.data(), out.size() + 1, fmt, args);
+  return out;
+}
 
 }  // namespace detail
 
 std::string str_format(const char* fmt, ...) {
-  const detail::ScopedCLocale c_locale;
   va_list args;
   va_start(args, fmt);
-  va_list sizing;
-  va_copy(sizing, args);
-  const int n = std::vsnprintf(nullptr, 0, fmt, sizing);
-  va_end(sizing);
-  if (n <= 0) {
-    va_end(args);
-    return {};
-  }
-  std::string out(static_cast<size_t>(n), '\0');
-  std::vsnprintf(out.data(), out.size() + 1, fmt, args);
+  std::string out = detail::vstr_format(fmt, args);
   va_end(args);
   return out;
 }
@@ -68,43 +78,6 @@ std::string join(const std::vector<std::string>& parts, const std::string& sep) 
     if (i > 0) out += sep;
     out += parts[i];
   }
-  return out;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += str_format("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_quote(const std::string& s) {
-  // Built piecewise: gcc 12's -Wrestrict false-positives on
-  // `"literal" + std::string&&` (PR105651).
-  std::string out = "\"";
-  out += json_escape(s);
-  out += '"';
   return out;
 }
 

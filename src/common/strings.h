@@ -4,59 +4,35 @@
 // snprintf wrapper plus the handful of helpers the table printers need.
 #pragma once
 
+#include <cstdarg>
 #include <cstdio>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/error.h"
+
 namespace bfpp {
 
 namespace detail {
 
-// RAII guard that switches the calling thread to the "C" locale, so that
-// printf-style float formatting always uses '.' as the decimal separator
-// regardless of the process locale. Report CSV/JSON emitters depend on
-// this for stable output across environments.
-class ScopedCLocale {
- public:
-  ScopedCLocale();
-  ~ScopedCLocale();
-  ScopedCLocale(const ScopedCLocale&) = delete;
-  ScopedCLocale& operator=(const ScopedCLocale&) = delete;
-
- private:
-  void* previous_ = nullptr;  // locale_t of the displaced locale
-};
+// vsnprintf into a std::string, in the C locale. The body of str_format
+// and of the failing path of check()/check_config().
+std::string vstr_format(const char* fmt, std::va_list args);
 
 }  // namespace detail
-
-// Marks a varargs function as printf-like so the compiler type-checks
-// format string against arguments at every call site (-Wformat).
-#if defined(__GNUC__) || defined(__clang__)
-#define BFPP_PRINTF_LIKE(fmt_index, first_arg) \
-  __attribute__((format(printf, fmt_index, first_arg)))
-#else
-#define BFPP_PRINTF_LIKE(fmt_index, first_arg)
-#endif
 
 // vsnprintf into a std::string. The result is exact (no truncation) and
 // locale-independent (always C-locale number formatting). A real
 // varargs function rather than a template so BFPP_PRINTF_LIKE applies:
 // the compiler rejects specifier/argument mismatches at the call site
-// instead of silently formatting garbage at runtime.
+// instead of silently formatting garbage at runtime. It serves error
+// messages and tables; the Report and serve emitters write through
+// common/writer.h instead.
 std::string str_format(const char* fmt, ...) BFPP_PRINTF_LIKE(1, 2);
 
 // Joins `parts` with `sep`.
 std::string join(const std::vector<std::string>& parts, const std::string& sep);
-
-// Escapes `s` for interpolation inside a JSON string literal (quotes,
-// backslashes, \n/\t, \u00xx for other control bytes). Shared by the
-// Report emitters and the serve protocol so both sides of the wire
-// escape identically.
-std::string json_escape(const std::string& s);
-
-// json_escape plus the surrounding double quotes.
-std::string json_quote(const std::string& s);
 
 // ASCII lowercase copy (used by the name/enum parsers).
 std::string to_lower(std::string s);

@@ -14,9 +14,9 @@ void validate(const TransformerSpec& spec) {
   check_config(spec.vocab_size > 0, "model: vocab_size must be positive");
   check_config(
       spec.n_heads * spec.head_size == spec.hidden_size,
-      str_format("model %s: n_heads (%d) * head_size (%d) != hidden (%d)",
-                 spec.name.c_str(), spec.n_heads, spec.head_size,
-                 spec.hidden_size));
+      "model %s: n_heads (%d) * head_size (%d) != hidden (%d)",
+      spec.name.c_str(), spec.n_heads, spec.head_size,
+      spec.hidden_size);
 }
 
 TransformerSpec model_52b() {

@@ -7,7 +7,7 @@
 
 #include "collectives/collectives.h"
 #include "common/error.h"
-#include "common/strings.h"
+#include "common/writer.h"
 #include "memmodel/memory.h"
 
 namespace bfpp::runtime {
@@ -289,9 +289,10 @@ SimSkeleton PipelineSim::build_skeleton() const {
 
   // ---- Streams.
   for (int r = 0; r < n_pp; ++r) {
-    sk.compute_streams.push_back(
-        graph.add_stream(str_format("gpu%d.compute", r)));
-    sk.dp_streams.push_back(graph.add_stream(str_format("gpu%d.dp", r)));
+    std::string gpu = "gpu";
+    Writer(gpu).integer(r);
+    sk.compute_streams.push_back(graph.add_stream(gpu + ".compute"));
+    sk.dp_streams.push_back(graph.add_stream(gpu + ".dp"));
   }
   // Directed pipeline links, created on demand (forward and backward
   // traffic between the same device pair shares the physical link).
@@ -299,8 +300,9 @@ SimSkeleton PipelineSim::build_skeleton() const {
   auto link_stream = [&](int from, int to) {
     auto it = links.find({from, to});
     if (it != links.end()) return it->second;
-    const sim::StreamId s =
-        graph.add_stream(str_format("link.%d->%d", from, to));
+    std::string name = "link.";
+    Writer(name).integer(from).raw("->").integer(to);
+    const sim::StreamId s = graph.add_stream(std::move(name));
     links.emplace(std::pair{from, to}, s);
     return s;
   };

@@ -1,7 +1,7 @@
 #include "runtime/sim_cache.h"
 
 #include "common/error.h"
-#include "common/strings.h"
+#include "common/writer.h"
 
 namespace bfpp::runtime {
 
@@ -10,7 +10,7 @@ namespace {
 // %.17g round-trips doubles exactly, so two inputs serialize to the same
 // key iff every field is bit-equal (modulo -0.0/0.0, which no spec uses).
 void put(std::string& key, double v) {
-  key += str_format("%.17g;", v);
+  Writer(key).real(v, 17).put(';');
 }
 
 void put(std::string& key, int v) {

@@ -3,6 +3,10 @@
 
 #include <clocale>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <functional>
 #include <set>
 
 #include "common/error.h"
@@ -10,6 +14,7 @@
 #include "common/strings.h"
 #include "common/table.h"
 #include "common/units.h"
+#include "common/writer.h"
 
 namespace bfpp {
 namespace {
@@ -181,6 +186,24 @@ TEST(Error, CheckThrowsWithMessage) {
   }
 }
 
+TEST(Error, ChecksFormatTheirArgumentsOnlyOnFailure) {
+  EXPECT_NO_THROW(check(true, "stage %d of %s", 3, "pp8"));
+  try {
+    check_config(false, "stage %d of %s (%.2f%%)", 3, "pp8", 12.5);
+    FAIL() << "expected throw";
+  } catch (const ConfigError& e) {
+    EXPECT_STREQ(e.what(), "stage 3 of pp8 (12.50%)");
+  }
+  // Input text is an argument, never the format: specifiers in it are
+  // printed, not interpreted.
+  try {
+    check(false, "unknown field '%s'", "%s%s%n");
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "unknown field '%s%s%n'");
+  }
+}
+
 TEST(Error, ConfigErrorIsDistinguishable) {
   try {
     check_config(false, "bad config");
@@ -198,6 +221,90 @@ TEST(Error, UsageErrorIsAConfigError) {
   } catch (const ConfigError& e) {
     EXPECT_STREQ(e.what(), "--pp expects an integer");
   }
+}
+
+// ---- common/writer.h ----
+
+std::string written(const std::function<void(Writer&)>& body, int indent = 0) {
+  std::string out;
+  Writer w(out, indent);
+  body(w);
+  return out;
+}
+
+TEST(Writer, RealMatchesPrintfGeneralFormat) {
+  // to_chars(general, p) is specified as printf's %.<p>g in the C
+  // locale; pin it on random bit patterns (subnormals, huge, tiny) and
+  // on the values the emitters actually print.
+  Rng rng(2024);
+  std::vector<double> values = {0.0, -0.0, 1.0, 0.25, 1e-5, 1e-4,
+                                3.628e13, 0.1 + 0.2, 1e12, 5e-324,
+                                1.7976931348623157e308, HUGE_VAL, -HUGE_VAL};
+  for (int i = 0; i < 20000; ++i) {
+    uint64_t bits = rng.next_u64();
+    double x = 0;
+    std::memcpy(&x, &bits, sizeof x);
+    if (std::isnan(x)) continue;
+    values.push_back(x);
+    values.push_back(rng.uniform(-1e6, 1e6));
+  }
+  for (const double x : values) {
+    for (const int digits : {10, 17}) {
+      char want[64];
+      std::snprintf(want, sizeof want, "%.*g", digits, x);
+      EXPECT_EQ(written([&](Writer& w) { w.real(x, digits); }), want)
+          << "digits " << digits;
+    }
+  }
+}
+
+TEST(Writer, IntegersAndStrings) {
+  EXPECT_EQ(written([](Writer& w) {
+              w.integer(-42).put(' ').uinteger(18446744073709551615ull);
+            }),
+            "-42 18446744073709551615");
+  EXPECT_EQ(written([](Writer& w) { w.string("a\"b\\c\nd\te\x01\x1f\x7f"); }),
+            "\"a\\\"b\\\\c\\nd\\te\\u0001\\u001f\x7f\"");
+  EXPECT_EQ(written([](Writer& w) {
+              w.csv("plain").put(',').csv("a,b").put(',').csv("say \"hi\"");
+            }),
+            "plain,\"a,b\",\"say \"\"hi\"\"\"");
+}
+
+TEST(Writer, CompactAndPrettyJsonShareOneEmitter) {
+  const auto body = [](Writer& w) {
+    w.begin_object().key("n").integer(3).key("list").begin_array();
+    w.integer(1).real(0.5, 10).string("x").null().end_array();
+    w.key("obj").begin_object().key("ok").boolean(true).end_object();
+    w.key("empty").begin_object().end_object();
+    w.key("flat").begin_object(1).key("a").integer(1).end_object();
+    w.end_object();
+  };
+  EXPECT_EQ(written(body),
+            R"({"n":3,"list":[1,0.5,"x",null],"obj":{"ok":true},)"
+            R"("empty":{},"flat":{"a":1}})");
+  EXPECT_EQ(written(body, 2),
+            "{\n"
+            "  \"n\": 3,\n"
+            "  \"list\": [1,0.5,\"x\",null],\n"
+            "  \"obj\": {\n"
+            "    \"ok\": true\n"
+            "  },\n"
+            "  \"empty\": {},\n"
+            "  \"flat\": {\n"
+            "  \"a\": 1\n"
+            "}\n"
+            "}");
+}
+
+TEST(Writer, NestingDeeperThanTheFrameStackThrows) {
+  std::string out;
+  Writer w(out);
+  EXPECT_THROW(
+      {
+        for (int i = 0; i < 64; ++i) w.begin_array();
+      },
+      Error);
 }
 
 TEST(Units, Constants) {

@@ -13,6 +13,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstdlib>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -74,6 +76,50 @@ TEST(Json, TypedAccessorsThrowOnMismatch) {
   EXPECT_THROW((void)v.get("f")->as_int("f"), ConfigError);  // not integral
   EXPECT_THROW((void)v.get("s")->as_bool("s"), ConfigError);
   EXPECT_THROW((void)v.get("f")->as_string("f"), ConfigError);
+}
+
+std::string parse_error(const std::string& text) {
+  try {
+    (void)json::parse(text);
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "(parsed)";
+}
+
+TEST(Json, ErrorOffsetsNameTheFailingByteAfterWhitespace) {
+  // The offset is read after peek() skipped the whitespace, so it points
+  // at the offending byte itself ('1' at byte 7, '2' at byte 5).
+  EXPECT_EQ(parse_error(R"({"a"   1})"), "json: expected ':' (at byte 7)");
+  EXPECT_EQ(parse_error("[1   2]"), "json: expected ']' (at byte 5)");
+  EXPECT_EQ(parse_error("{\"a\":1,   }"),
+            "json: object keys must be strings (at byte 10)");
+  EXPECT_EQ(parse_error("[1] \t x"),
+            "json: trailing content after the JSON document (at byte 6)");
+}
+
+TEST(Json, NumbersOutsideTheDoubleRangeReadLikeStrtod) {
+  auto number = [](const std::string& text) {
+    return json::parse(text).as_number();
+  };
+  EXPECT_EQ(number("1e400"), HUGE_VAL);
+  EXPECT_EQ(number("-1e400"), -HUGE_VAL);
+  EXPECT_EQ(number("1" + std::string(400, '0')), HUGE_VAL);
+  EXPECT_EQ(number("1" + std::string(400, '0') + "e-50"), HUGE_VAL);
+  EXPECT_EQ(number("1e-400"), 0.0);
+  EXPECT_FALSE(std::signbit(number("1e-400")));
+  EXPECT_EQ(number("-1e-400"), 0.0);
+  EXPECT_TRUE(std::signbit(number("-1e-400")));
+  EXPECT_EQ(number("0." + std::string(400, '0') + "1"), 0.0);
+  EXPECT_EQ(number("0.001e-99999999999999999999"), 0.0);
+  EXPECT_EQ(number("0e99999"), 0.0);
+  // In range, every literal reads as strtod reads it, subnormals included.
+  for (const char* text :
+       {"0", "-0", "1", "2.5", "-17", "0.1", "1e-310", "4.9e-324",
+        "2.2250738585072014e-308", "1.7976931348623157e308", "123456789012",
+        "9007199254740993", "0.30000000000000004", "1E+2", "5e-05"}) {
+    EXPECT_EQ(number(text), std::strtod(text, nullptr)) << text;
+  }
 }
 
 // ---- ReportCache ----
@@ -599,6 +645,22 @@ TEST(Server, PingStatsAndShutdown) {
   EXPECT_EQ(server.handle(R"({"type":"shutdown"})"),
             "{\"ok\":true,\"type\":\"shutdown\"}\n");
   EXPECT_TRUE(server.shutdown_requested());
+}
+
+TEST(Server, HostileFormatStringsInRequestsAreEchoedVerbatim) {
+  // Request text only ever reaches an error message as a "%s" argument,
+  // never as the format, so conversion specifiers come back unchanged.
+  Server server;
+  EXPECT_EQ(server.handle(R"({"id":1,"type":"run","%s%s%n":1})"),
+            "{\"id\":1,\"ok\":false,\"error\":\"serve: unknown field "
+            "\\\"%s%s%n\\\" for a 'run' request (see docs/PROTOCOL.md)\"}\n");
+  EXPECT_EQ(server.handle(R"({"id":2,"type":"%n"})"),
+            "{\"id\":2,\"ok\":false,\"error\":\"serve: unknown request "
+            "type '%n' (run, search, sweep, compare, stats, metrics, list, "
+            "ping or shutdown)\"}\n");
+  EXPECT_EQ(server.handle(R"({"id":3,"type":"list","what":"%x"})"),
+            "{\"id\":3,\"ok\":false,\"error\":\"serve: unknown list "
+            "target '%x' (models, clusters, scenarios or all)\"}\n");
 }
 
 TEST(Server, EchoesLargeIntegerIdsVerbatim) {

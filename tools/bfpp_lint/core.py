@@ -150,12 +150,14 @@ def run_pass(p: Pass, root: Path) -> list[Finding]:
 
 
 def all_passes() -> list[Pass]:
-    from passes import determinism, enum_sync, lock_order, wire_stability
+    from passes import (determinism, enum_sync, lazy_check, lock_order,
+                        wire_stability)
     return [
         wire_stability.PASS,
         enum_sync.PASS,
         lock_order.PASS,
         determinism.PASS,
+        lazy_check.PASS,
     ]
 
 

@@ -16,7 +16,7 @@ pass checks, by parsing the header and the implementation:
   2. from_wire() reads back every key to_wire() emits (no silent drop
      on the reload path) and reads nothing to_wire() never wrote;
   3. [api::Report only] every member also reaches the two display
-     emitters: to_json() as a key and csv_header() as one or more
+     emitters: write_json() (the body of to_json) as a key and csv_header() as one or more
      columns, via the surface map below. Compound members (config,
      result, ...) flatten into named CSV columns; members deliberately
      absent from a surface must be listed in EXEMPT_WHY with the
@@ -133,20 +133,24 @@ def _function_body(text: str, signature_re: str) -> str | None:
     return text[start + 1:end]
 
 
-_KEY = re.compile(r'\\"(\w+)\\":')
-# from_wire read sites: wire_field(value, "k"), wire_doubles(v, "k", n),
-# result_from_wire(value, "k"), memory_from_wire(*frugal, "k"), ...
+# Emitted keys: Writer::key("k") (common/writer.h), or a hand-rolled
+# `"\"k\":"` literal.
+_KEY = re.compile(r'\.key\(\s*"(\w+)"\s*\)|\\"(\w+)\\":')
+# from_wire read sites: wire_field(value, "k"), result_from_wire(value,
+# "k"), memory_from_wire(*frugal, "k"), ...
 _WIRE_READ = re.compile(r'\w*wire\w*\(\s*[*&]?\w+\s*,\s*"(\w+)"')
 _GET_READ = re.compile(r'\.get\(\s*"(\w+)"\s*\)')
 
 
 def _emitted_keys(body: str) -> list[str]:
-    """JSON keys a hand-rolled emitter writes, in emission order: the
-    codebase idiom is `"\\"key\\":" + ...` string concatenation."""
+    """JSON keys an emitter writes, in emission order: the codebase idiom
+    is `w.key("name")` on a Writer (older emitters concatenated
+    `"\\"name\\":"` literals; both are recognized)."""
     seen: list[str] = []
     for m in _KEY.finditer(body):
-        if m.group(1) not in seen:
-            seen.append(m.group(1))
+        key = m.group(1) or m.group(2)
+        if key not in seen:
+            seen.append(key)
     return seen
 
 
@@ -279,10 +283,10 @@ def _check_report_surfaces(members: list[str], cpp_rel: str,
                 "such member - remove the stale map entry"))
 
     json_body = _function_body(
-        raw_cpp, r"std::string\s+Report::to_json\(\)\s*const\s*{")
+        raw_cpp, r"void\s+Report::write_json\([^)]*\)\s*const\s*{")
     if json_body is None:
         findings.append(Finding(cpp_rel, 0,
-                                "Report::to_json() definition not found"))
+                                "Report::write_json() definition not found"))
         return findings
     json_keys = set(_emitted_keys(json_body))
     csv_cols = _csv_columns(raw_cpp)
